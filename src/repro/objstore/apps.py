@@ -62,7 +62,8 @@ class ChunkSumApp(StreamingApp):
 
     def begin(self, ctx: ExecContext) -> None:
         self._chunker = Chunker(self._params)
-        self._tail = b""  # bytes since the last boundary (<= max_size)
+        self._sha = hashlib.sha1()  # the open chunk's bytes seen so far
+        self._open = 0  # how many bytes that is
         self._chunks: list[tuple[str, int]] = []
         self._analytic = False
 
@@ -70,13 +71,19 @@ class ChunkSumApp(StreamingApp):
         if chunk is None:
             self._analytic = True
             return
-        # Completed chunks are prefixes of tail+page; whatever the chunker
-        # holds back stays in the tail for the next page (page-seam safety).
-        pending = self._tail + chunk
-        for length in self._chunker.update(chunk):
-            blob, pending = pending[:length], pending[length:]
-            self._chunks.append((hashlib.sha1(blob).hexdigest(), length))
-        self._tail = pending
+        # Each completed chunk ends inside this page; its bytes on earlier
+        # pages are already in the open SHA-1 (page-seam safety).
+        page = memoryview(chunk)
+        offset = 0
+        for length in self._chunker.update(page):
+            end = offset + length - self._open
+            self._sha.update(page[offset:end])
+            self._chunks.append((self._sha.hexdigest(), length))
+            self._sha = hashlib.sha1()
+            self._open = 0
+            offset = end
+        self._sha.update(page[offset:])
+        self._open += len(page) - offset
 
     def finish(self, ctx: ExecContext, path: str, total_bytes: int) -> Generator:
         if self._analytic:
@@ -85,7 +92,7 @@ class ChunkSumApp(StreamingApp):
             )
         tail_len = self._chunker.finish()
         if tail_len is not None:
-            self._chunks.append((hashlib.sha1(self._tail).hexdigest(), tail_len))
+            self._chunks.append((self._sha.hexdigest(), tail_len))
         out = "\n".join(f"{digest} {length}" for digest, length in self._chunks)
         return ExitStatus(
             code=0,

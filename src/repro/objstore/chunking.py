@@ -24,6 +24,38 @@ that property (``tests/test_chunking.py``), and the in-situ minion app
 (:class:`repro.objstore.apps.ChunkSumApp`) feeds pages through the same
 incremental :class:`Chunker`, so device-side and host-side boundaries are
 identical by construction.
+
+Vectorised kernel
+-----------------
+The hash is ``h = (h << 1) + gear[byte]`` (mod 2**64) from zero at the chunk
+start, so after the byte at position ``i`` it is
+``sum_k gear[x[i-k]] << k`` over the bytes since the boundary.  A boundary
+test reads only the low ``b = mask.bit_length()`` bits, and a term shifted
+by ``k >= b`` has no bits there, so::
+
+    h & mask == (sum_{k < b} gear[x[i-k]] << k) & mask
+
+— a sliding window over the last ``b`` bytes.  :class:`Chunker` computes
+that window sum for every position of a block at once (shifted adds that
+wrap in uint32, or uint64 when ``b > 32``; :func:`_window_sums` needs
+O(log b) of them), takes the candidate positions where it is zero, and
+walks chunk to chunk with ``searchsorted``, applying ``min_size`` (ignore
+candidates earlier than that) and ``max_size`` (force a boundary when no
+candidate comes first).
+
+The window is only the true hash where it does not reach back past the
+chunk start, i.e. from the ``b``-th byte of a chunk on.  Candidates before
+that matter only when ``min_size < b``; for a chunk that starts inside the
+block those first ``b - 1`` positions are rehashed exactly, byte by byte
+from the boundary (at most ``b - 1`` steps per chunk).  The window at the
+very start of a block is truncated there, which is exact because the block
+begins with the carry: the last ``min(length, b - 1)`` bytes since the
+boundary, the only state besides ``length`` that crosses :meth:`update`
+calls.
+
+Input is hashed in blocks of :data:`BLOCK_BYTES`, so one call holds a few
+arrays of that many 4- or 8-byte words however large the payload (a
+host-side fallback may chunk a whole object in one call).
 """
 
 from __future__ import annotations
@@ -33,13 +65,19 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 __all__ = ["ChunkParams", "Chunker", "chunk_digests", "chunk_spans"]
 
 #: Gear table: 256 pinned 64-bit constants.  Seeded stdlib RNG instance —
 #: module-load determinism, never the global RNG.
 _GEAR_RNG = random.Random(0x9E3779B97F4A7C15)
 _GEAR: tuple[int, ...] = tuple(_GEAR_RNG.getrandbits(64) for _ in range(256))
+_GEAR_U64 = np.array(_GEAR, dtype=np.uint64)
 _MASK64 = (1 << 64) - 1
+
+#: Bytes hashed per vectorised pass (bounds the kernel's working set).
+BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,41 +103,105 @@ class ChunkParams:
 class Chunker:
     """Incremental content-defined chunker (page-seam safe).
 
-    Feed bytes in any fragmentation via :meth:`update`; each call yields the
-    lengths of the chunks completed by those bytes.  :meth:`finish` flushes
-    the trailing partial chunk.  Boundary decisions depend only on the bytes
-    since the previous boundary, never on fragment sizes, so streaming a
-    file page by page produces the same chunks as one whole-buffer pass.
+    Feed bytes in any fragmentation via :meth:`update`; each call returns
+    the lengths of the chunks completed by those bytes.  :meth:`finish`
+    flushes the trailing partial chunk.  Boundary decisions depend only on
+    the bytes since the previous boundary, never on fragment sizes, so
+    streaming a file page by page produces the same chunks as one
+    whole-buffer pass.
     """
 
     def __init__(self, params: ChunkParams):
         self.params = params
-        self._hash = 0
+        # only the hash's low 64 bits exist, so wider masks test all of them
+        self._mask = params.mask & _MASK64
+        self._bits = self._mask.bit_length()
+        dtype = np.uint32 if self._bits <= 32 else np.uint64
+        self._gear = (_GEAR_U64 & np.uint64(self._mask)).astype(dtype)
         self._length = 0
+        self._carry = self._gear[:0]  # gear values of the last < b bytes
 
     def update(self, data: bytes) -> Iterator[int]:
-        gear = _GEAR
-        mask = self.params.mask
-        min_size = self.params.min_size
-        max_size = self.params.max_size
-        h = self._hash
-        length = self._length
-        for byte in data:
-            h = ((h << 1) + gear[byte]) & _MASK64
-            length += 1
-            if (length >= min_size and (h & mask) == 0) or length >= max_size:
-                yield length
-                h = 0
-                length = 0
-        self._hash = h
-        self._length = length
+        view = memoryview(data).cast("B")
+        lengths: list[int] = []
+        for start in range(0, len(view), BLOCK_BYTES):
+            lengths += self._scan(view[start:start + BLOCK_BYTES])
+        return iter(lengths)
+
+    def _scan(self, block: memoryview) -> list[int]:
+        """Boundaries in ``carry + block``; keeps the new carry."""
+        bits, mask = self._bits, self._mask
+        fresh = self._gear.take(np.frombuffer(block, dtype=np.uint8))
+        n0 = len(self._carry)
+        g = np.concatenate((self._carry, fresh)) if n0 else fresh
+        n = len(g)
+        candidates = np.flatnonzero((_window_sums(g, bits) & mask) == 0)
+
+        min_size, max_size = self.params.min_size, self.params.max_size
+        exact_head = min_size < bits
+        lengths: list[int] = []
+        start = n0 - self._length  # this chunk's first byte (may be < 0)
+        while True:
+            lo = max(start + min_size - 1, n0)  # first position allowed to cut
+            hi = start + max_size - 1  # forced cut
+            end = -1
+            if exact_head and start > 0:
+                # the window at start..start+b-2 reaches back past the
+                # boundary: rehash those positions from the chunk start
+                last = min(start + bits - 2, hi, n - 1)
+                if lo <= last:
+                    hash_ = 0
+                    for i, gear in enumerate(g[start:last + 1].tolist(), start):
+                        hash_ = (hash_ << 1) + gear
+                        if i >= lo and hash_ & mask == 0:
+                            end = i
+                            break
+                    lo = last + 1
+            if end < 0:
+                j = int(np.searchsorted(candidates, lo))
+                if j < len(candidates) and candidates[j] <= hi:
+                    end = int(candidates[j])
+                elif hi < n:
+                    end = hi
+                else:
+                    break
+            lengths.append(end - start + 1)
+            start = end + 1
+        self._length = n - start
+        self._carry = g[max(start, n - bits + 1):].copy()
+        return lengths
 
     def finish(self) -> int | None:
         """The trailing partial chunk's length (``None`` if flush-aligned)."""
         length = self._length if self._length else None
-        self._hash = 0
         self._length = 0
+        self._carry = self._gear[:0]
         return length
+
+
+def _window_sums(g: np.ndarray, bits: int) -> np.ndarray:
+    """``out[i] = sum(g[i-k] << k for k in range(min(bits, i + 1)))``, wrapping.
+
+    Built by doubling, in O(log bits) array passes: the window of ``a + c``
+    bytes is the ``a`` window plus the ``c`` window ending ``a`` bytes
+    earlier, shifted left by ``a``.  Windows of 1, 2, 4, ... bytes are
+    combined along the binary digits of ``bits``.
+    """
+    out = None
+    width = 0  # window length ``out`` covers so far
+    run, span = g, 1  # ``run`` holds the windows of ``span`` bytes
+    while True:
+        if bits & span:
+            if out is None:
+                out, width = run.copy(), span
+            else:
+                out[width:] += run[:-width] << width
+                width += span
+        if span * 2 > bits:
+            return out
+        doubled = run.copy()
+        doubled[span:] += run[:-span] << span
+        run, span = doubled, span * 2
 
 
 def chunk_spans(data: bytes, params: ChunkParams) -> list[tuple[int, int]]:
@@ -118,7 +220,8 @@ def chunk_spans(data: bytes, params: ChunkParams) -> list[tuple[int, int]]:
 
 def chunk_digests(data: bytes, params: ChunkParams) -> list[tuple[str, int]]:
     """``(sha1_hex, length)`` per chunk — what PUT ships across PCIe."""
+    view = memoryview(data)
     return [
-        (hashlib.sha1(data[offset:offset + length]).hexdigest(), length)
+        (hashlib.sha1(view[offset:offset + length]).hexdigest(), length)
         for offset, length in chunk_spans(data, params)
     ]

@@ -106,6 +106,8 @@ class BookCorpus:
         self.spec = spec or CorpusSpec()
         self._rng = np.random.default_rng(self.spec.seed)
         self._vocab = _make_vocabulary(self._rng)
+        self._word_lengths = np.array([len(w) for w in self._vocab])
+        self._mean_word = float(self._word_lengths.mean()) + 1.0  # + separator
         # Zipf-ish weights over the vocabulary (s ~ 1.1)
         ranks = np.arange(1, _VOCAB_SIZE + 1, dtype=float)
         weights = ranks ** -1.1
@@ -121,8 +123,7 @@ class BookCorpus:
     def _generate_text(self, nbytes: int) -> tuple[bytes, int]:
         """~``nbytes`` of Zipfian text; returns (text, needle_count)."""
         spec = self.spec
-        mean_word = float(np.mean([len(w) for w in self._vocab])) + 1.0
-        n_words = max(16, int(nbytes / mean_word))
+        n_words = max(16, int(nbytes / self._mean_word))
         idx = self._rng.choice(_VOCAB_SIZE, size=n_words, p=self._weights)
         words = [self._vocab[i] for i in idx]
         needle = spec.needle.encode()
@@ -131,7 +132,13 @@ class BookCorpus:
             hits = np.flatnonzero(self._rng.random(n_words) < spec.needle_rate)
             for h in hits:
                 words[int(h)] = needle
-            needle_count = len(hits)
+            # every word is followed by one separator (space or newline), so
+            # word j ends at cumsum(len + 1)[j] - 1; count the needles the
+            # size truncation below keeps whole
+            lengths = self._word_lengths[idx]
+            lengths[hits] = len(needle)
+            ends = np.cumsum(lengths + 1) - 1
+            needle_count = int(np.count_nonzero(ends[hits] <= nbytes))
         # assemble lines
         out = bytearray()
         i = 0

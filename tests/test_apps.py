@@ -22,10 +22,10 @@ GEO = FlashGeometry(
 TEXT = (b"the quick brown fox jumps over the lazy dog\n" b"pack my box with five dozen jugs\n") * 300
 
 
-def make_os(store_data=True):
+def make_os(store_data=True, geometry=GEO):
     sim = Simulator()
     flash = FlashArray(
-        sim, geometry=GEO, error_model=BitErrorModel(rber0=1e-9), store_data=store_data
+        sim, geometry=geometry, error_model=BitErrorModel(rber0=1e-9), store_data=store_data
     )
     ecc = EccEngine(sim, EccConfig(layout=CodewordLayout(data_bytes=2048)))
     ftl = FlashTranslationLayer(sim, flash, ecc)

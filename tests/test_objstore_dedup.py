@@ -258,27 +258,57 @@ def test_dedup_sweep_ratio_tracks_the_dial():
 
 # -- the in-situ chunksum minion ---------------------------------------------
 
+def chunksum_recipe(payload: bytes, params: ChunkParams, page_size: int = 4096):
+    """Run ``chunksum`` in-situ on a device with ``page_size``-byte pages;
+    returns the parsed recipe and the exit detail."""
+    from dataclasses import replace
+
+    import tests.test_apps as apps_tests
+
+    sim, os_ = apps_tests.make_os(geometry=replace(apps_tests.GEO, page_size=page_size))
+    assert os_.fs.page_size == page_size
+    os_.install_executable(ChunkSumApp())
+    apps_tests.put_file(sim, os_, "obj.bin", payload)
+    status, _ = apps_tests.drive(
+        sim,
+        os_.run(f"chunksum {params.min_size} {params.avg_size} {params.max_size} obj.bin"),
+    )
+    assert status.code == 0
+    recipe = [
+        (digest, int(length))
+        for digest, length in (line.split() for line in status.stdout.decode().splitlines())
+    ]
+    return recipe, status.detail
+
+
 def test_chunksum_app_is_page_seam_safe():
     """The minion hashes payload spans, not page-sized read chunks: its
     stdout recipe equals host-side chunking even though the device streams
     the file through fixed pages."""
-    from tests.test_apps import drive as drive_os
-    from tests.test_apps import make_os, put_file
-
-    sim, os_ = make_os()
-    os_.install_executable(ChunkSumApp())
     payload = blob(12, size=20 * 1024)
-    put_file(sim, os_, "obj.bin", payload)
-    status, _ = drive_os(
-        sim, os_.run(f"chunksum {PARAMS.min_size} {PARAMS.avg_size} {PARAMS.max_size} obj.bin")
-    )
-    assert status.code == 0
-    got = [
-        (line.split()[0], int(line.split()[1]))
-        for line in status.stdout.decode().splitlines()
+    recipe, detail = chunksum_recipe(payload, PARAMS)
+    assert recipe == chunk_digests(payload, PARAMS)
+    assert detail["chunks"] == len(recipe)
+
+
+@pytest.mark.parametrize("page_size", [2048, 4096, 16384])
+@pytest.mark.parametrize(
+    "params", [PARAMS, ChunkParams(min_size=512, avg_size=2048, max_size=8192)]
+)
+def test_chunksum_app_recipe_is_page_size_independent(page_size, params):
+    """Whatever the device page size, the in-situ recipe is the host-side
+    one: payloads ending mid-chunk, exactly ``max_size`` long (random, and
+    a run of one byte whose only cut is the forced one), and shorter than
+    a page."""
+    payloads = [
+        blob(21, size=5 * page_size + 123),
+        blob(22, size=params.max_size),
+        bytes([7]) * params.max_size,
+        blob(23, size=100),
     ]
-    assert got == [(d, s) for d, s in chunk_digests(payload, PARAMS)]
-    assert status.detail["chunks"] == len(got)
+    for payload in payloads:
+        recipe, _ = chunksum_recipe(payload, params, page_size)
+        assert recipe == chunk_digests(payload, params)
 
 
 def test_chunksum_app_analytic_mode_marks_detail():

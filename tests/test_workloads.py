@@ -39,8 +39,18 @@ def test_needle_count_matches_content():
     books = BookCorpus(spec).generate()
     for book in books:
         assert book.needle_count > 0
-        # every injected needle appears (word boundaries guaranteed by join)
-        assert book.plain.count(spec.needle.encode()) >= book.needle_count
+        # every counted needle appears whole, and no other occurrence exists
+        assert book.plain.count(spec.needle.encode()) == book.needle_count
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_needle_count_excludes_needles_cut_by_truncation(seed):
+    """Texts are cut to their drawn size after the words are placed; needles
+    past (or straddling) the cut must not be counted.  These corpora each
+    have books whose cut drops a needle."""
+    spec = CorpusSpec(files=20, mean_file_bytes=64 * 1024, seed=seed)
+    for book in BookCorpus(spec).generate():
+        assert book.plain.count(spec.needle.encode()) == book.needle_count, book.name
 
 
 def test_file_sizes_spread_around_mean():
