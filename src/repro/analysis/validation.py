@@ -6,7 +6,7 @@ validate`` prints it — the reproduction certificate a reviewer would ask
 for.
 
 Each claim is a self-contained, seeded experiment (its own simulators,
-its own corpus), so the scorecard is a shardable matrix: claims are
+its own corpus), so the scorecard is a spreadable matrix: claims are
 declared as module-level functions the parallel runner
 (:mod:`repro.parallel`) can execute in ``spawn`` workers, and
 ``validate_against_paper`` merges the graded claims in canonical paper
@@ -166,7 +166,7 @@ def validate_against_paper(
 ) -> list[Claim]:
     """Run the evaluation and grade each claim.
 
-    ``workers`` shards the claims across spawn processes; ``cache`` (a
+    ``workers`` spreads the claims across spawn processes; ``cache`` (a
     :class:`repro.parallel.ResultCache`) reuses results for unchanged
     code + spec digests.  Output is identical for every worker count.
     ``scenario`` (a :func:`repro.config.to_dict` payload) reshapes every

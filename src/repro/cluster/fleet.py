@@ -24,6 +24,7 @@ from typing import Any, Callable, Generator, Iterator, Sequence
 from repro.cluster.node import StorageNode
 from repro.faults.retry import BreakerConfig, CircuitBreaker, RetryPolicy
 from repro.host.insitu import InSituError
+from repro.isos import ExecutableNotFound, FsError, ShellError
 from repro.obs.health import FleetHealth, HealthAggregator
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.proto.entities import Command, Response, ResponseStatus
@@ -405,7 +406,9 @@ class StorageFleet:
 
         The paper's host-side baseline doubles as the degraded path: when
         no replica survives, a node whose host OS has the input files runs
-        the command over the wire the conventional way.
+        the command over the wire the conventional way.  Only the errors a
+        host run raises for a bad command or missing data move on to the
+        next node; anything else is a model bug and propagates.
         """
         needed = command.input_files if command.input_files else (book.name,)
         for node in self.nodes:
@@ -418,8 +421,8 @@ class StorageFleet:
                     status = results[-1][1] if results else None
                 else:
                     status, _ = yield from os_.run(command.command_line)
-            except Exception:
-                continue  # host execution failed; try another node
+            except (ShellError, FsError, ExecutableNotFound):
+                continue  # this host cannot run the command; try another node
             if status is None:
                 continue
             kind = ResponseStatus.OK if status.code == 0 else ResponseStatus.APP_ERROR

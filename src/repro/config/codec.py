@@ -23,7 +23,7 @@ import types
 import typing
 from typing import Any, Mapping
 
-from repro.config.schema import ScenarioConfig
+from repro.config.schema import ConfigError, ScenarioConfig
 
 __all__ = [
     "ConfigError",
@@ -34,10 +34,6 @@ __all__ = [
     "scenario_from_dict",
     "to_dict",
 ]
-
-
-class ConfigError(ValueError):
-    """A scenario dict/override does not fit the typed schema."""
 
 
 def canonical_json(value: Any) -> str:
@@ -110,6 +106,9 @@ def _decode(tp: Any, data: Any, path: str) -> Any:
     if dataclasses.is_dataclass(tp):
         if not isinstance(data, Mapping):
             raise ConfigError(f"{path}: expected an object, got {data!r}")
+        for f in dataclasses.fields(tp):
+            if f.name in data and "removed" in f.metadata:
+                raise ConfigError(f"{path}.{f.name}: {f.metadata['removed']}")
         names = [f.name for f in dataclasses.fields(tp)]
         unknown = sorted(set(data) - set(names))
         if unknown:

@@ -54,13 +54,15 @@ def apply_overrides(config: Any, pairs: Iterable[str | tuple[str, str]]) -> Any:
 
 def _apply_one(node: Any, segments: list[str], raw: str, full_path: str) -> Any:
     cls = type(node)
-    names = [f.name for f in dataclasses.fields(cls)]
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     head = segments[0]
-    if head not in names:
+    if head not in fields:
         raise ConfigError(
             f"unknown key {full_path!r}: {cls.__name__} has no field {head!r}; "
-            f"valid keys: {', '.join(names)}"
+            f"valid keys: {', '.join(fields)}"
         )
+    if "removed" in fields[head].metadata:
+        raise ConfigError(f"{full_path!r}: {fields[head].metadata['removed']}")
     hints = _type_hints(cls)
     hint = hints[head]
     if len(segments) == 1:

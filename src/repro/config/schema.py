@@ -41,6 +41,7 @@ __all__ = [
     "DEVICE_BACKENDS",
     "BurnWindowConfig",
     "ClosedLoopConfig",
+    "ConfigError",
     "DeviceBackendConfig",
     "FaultSpec",
     "FaultsConfig",
@@ -55,9 +56,12 @@ __all__ = [
     "PriorityClassConfig",
     "ScenarioConfig",
     "ServiceConfig",
-    "ShardingConfig",
     "TrafficConfig",
 ]
+
+
+class ConfigError(ValueError):
+    """A scenario dict/override does not fit the typed schema."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -574,40 +578,6 @@ class ObjstoreConfig:
         )
 
 
-#: Execution backends the sharded simulation engine understands.
-SHARD_BACKENDS: tuple[str, ...] = ("sequential", "process")
-
-
-@dataclass(frozen=True, slots=True)
-class ShardingConfig:
-    """Partitioned execution of one scenario (:mod:`repro.sim.shard`).
-
-    ``shards`` is the number of event-loop groups the per-device cells are
-    packed into (purely an execution knob: results are byte-identical at any
-    value); ``backend`` selects in-process sequential execution (the oracle)
-    or one spawn worker per shard.  ``window_us`` adds a modeled cross-shard
-    dispatch latency on top of the PCIe link hop: conservative synchronization
-    can only run a shard ahead by the minimum cross-boundary latency, so
-    widening it trades response-latency fidelity for fewer, fatter windows —
-    essential for open-loop traffic, irrelevant for batch jobs.
-    """
-
-    shards: int = 1
-    backend: str = "sequential"
-    window_us: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"unknown shard backend {self.backend!r}; "
-                f"use {', '.join(SHARD_BACKENDS)}"
-            )
-        if self.window_us < 0:
-            raise ValueError("window_us must be non-negative")
-
-
 @dataclass(frozen=True, slots=True)
 class DeviceBackendConfig:
     """The translation backend every device in the scenario is built on.
@@ -646,6 +616,12 @@ class ObsConfig:
     def __post_init__(self) -> None:
         if self.trace_capacity is not None and self.trace_capacity < 1:
             raise ValueError("trace_capacity must be >= 1 (or None)")
+
+
+_SHARDING_REMOVED = (
+    "the sharded execution engine was removed; spread independent cells "
+    "across cores with --workers"
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -689,8 +665,14 @@ class ScenarioConfig:
     overload: OverloadConfig | None = field(
         default=None, metadata={"omit_if_none": True}
     )
-    sharding: ShardingConfig | None = field(
-        default=None, metadata={"omit_if_none": True}
+    # A removed section: the partitioned (sharded) execution engine never
+    # beat one event loop, so it was deleted and multi-core speed-up comes
+    # from spreading independent cells over ``--workers``.  The field stays
+    # so callers that clear it (``replace(config, sharding=None)``) keep
+    # working; any value, ``--set`` path or dict key for it is rejected.
+    sharding: None = field(
+        default=None,
+        metadata={"omit_if_none": True, "removed": _SHARDING_REMOVED},
     )
     objstore: ObjstoreConfig | None = field(
         default=None, metadata={"omit_if_none": True}
@@ -698,6 +680,10 @@ class ScenarioConfig:
     device: DeviceBackendConfig | None = field(
         default=None, metadata={"omit_if_none": True}
     )
+
+    def __post_init__(self) -> None:
+        if self.sharding is not None:
+            raise ConfigError(f"sharding: {_SHARDING_REMOVED}")
 
     def with_name(self, name: str) -> "ScenarioConfig":
         return replace(self, name=name)

@@ -16,7 +16,12 @@ models the OS services those claims rest on:
 
 from repro.isos.blockdev import BlockDevice, FlashAccessDevice, NvmeBlockDevice
 from repro.isos.filesystem import ExtentFileSystem, FsError
-from repro.isos.loader import ExecContext, Executable, ExecutableRegistry
+from repro.isos.loader import (
+    ExecContext,
+    Executable,
+    ExecutableNotFound,
+    ExecutableRegistry,
+)
 from repro.isos.os import EmbeddedOS
 from repro.isos.process import OsProcess, ProcessState
 from repro.isos.shell import ShellError, parse_command_line, split_pipeline
@@ -26,6 +31,7 @@ __all__ = [
     "EmbeddedOS",
     "ExecContext",
     "Executable",
+    "ExecutableNotFound",
     "ExecutableRegistry",
     "ExtentFileSystem",
     "FlashAccessDevice",

@@ -132,6 +132,10 @@ class PageStream:
         return data, take
 
 
+class ExecutableNotFound(KeyError):
+    """The command names an executable this machine has not installed."""
+
+
 class ExecutableRegistry:
     """Named executables installed on a machine (host or CompStor)."""
 
@@ -149,7 +153,9 @@ class ExecutableRegistry:
     def resolve(self, name: str) -> Executable:
         exe = self._table.get(name)
         if exe is None:
-            raise KeyError(f"executable not found: {name!r} (installed: {sorted(self._table)})")
+            raise ExecutableNotFound(
+                f"executable not found: {name!r} (installed: {sorted(self._table)})"
+            )
         return exe
 
     def instantiate(self, name: str) -> Executable:

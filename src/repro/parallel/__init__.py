@@ -1,4 +1,4 @@
-"""Parallel experiment runner: shard the evaluation matrix across processes.
+"""Parallel experiment runner: spread the evaluation matrix across processes.
 
 The paper's evaluation is a matrix of independent seeded scenarios; this
 package runs them N-wide with a bit-identical merge:
@@ -39,7 +39,6 @@ from repro.parallel.matrix import (
     full_matrix,
     objstore_jobs,
     objstore_sweep_jobs,
-    shard_jobs,
     traffic_jobs,
     validation_jobs,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "objstore_sweep_jobs",
     "payload_digest",
     "run_jobs",
-    "shard_jobs",
     "traffic_jobs",
     "validation_jobs",
 ]

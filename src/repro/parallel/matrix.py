@@ -2,7 +2,7 @@
 
 Every row of the paper's evaluation — scorecard claims, figure cells,
 ablation points, bench scenarios — expressed as
-:class:`~repro.parallel.jobs.JobSpec` lists that the runner can shard.
+:class:`~repro.parallel.jobs.JobSpec` lists that the runner can spread.
 Targets are import strings, not callables, so this module stays cheap to
 import and specs stay picklable for ``spawn`` workers.
 
@@ -29,7 +29,6 @@ __all__ = [
     "full_matrix",
     "objstore_jobs",
     "objstore_sweep_jobs",
-    "shard_jobs",
     "traffic_jobs",
     "validation_jobs",
 ]
@@ -53,7 +52,7 @@ def _scenario_kwargs(scenario: dict | None) -> dict[str, Any]:
 
 
 def validation_jobs(quick: bool = False, scenario: dict | None = None) -> list[JobSpec]:
-    """One job per scorecard claim (the unit ``validate`` shards on)."""
+    """One job per scorecard claim (the unit ``validate`` spreads on)."""
     return [
         JobSpec(
             name=f"validate.{name}",
@@ -158,7 +157,7 @@ def traffic_jobs(
 ) -> list[JobSpec]:
     """One serving cell per arrival mix.  Each cell is hermetic (the
     scenario dict plus the mix override are the whole input), so results
-    cache and shard like any other matrix cell."""
+    cache and spread like any other matrix cell."""
     return [
         JobSpec(
             name=f"traffic.{mix}",
@@ -224,34 +223,6 @@ def objstore_sweep_jobs(
     ]
 
 
-def shard_jobs(
-    scenario: dict | None = None,
-    shard_counts: Sequence[int] = (1, 2, 4),
-    backend: str | None = None,
-    window_us: float | None = None,
-) -> list[JobSpec]:
-    """One sharded run per shard count — the equivalence sweep as cells.
-
-    Each cell is hermetic (scenario dict plus overrides are the whole
-    input) and caches like any matrix cell; the scorecard digest printed
-    per cell is shard-count-independent by construction, so a sweep whose
-    digests differ is a sync-protocol bug surfacing in CI.
-    """
-    extra: dict[str, Any] = {}
-    if backend is not None:
-        extra["backend"] = backend
-    if window_us is not None:
-        extra["window_us"] = window_us
-    return [
-        JobSpec(
-            name=f"shard.s{count}",
-            target="repro.sim.shard.engine:run_shard_cell",
-            kwargs={"shards": count, **_scenario_kwargs(scenario), **extra},
-        )
-        for count in shard_counts
-    ]
-
-
 def bench_jobs(names: Sequence[str], repeat: int = 1) -> list[JobSpec]:
     """Bench scenarios as jobs.  Never cache these: the wall clock *is*
     the measurement, and a cached wall time is a lie about this run."""
@@ -310,7 +281,7 @@ def ablation_jobs() -> list[JobSpec]:
 
 
 def full_matrix(quick: bool = False) -> list[JobSpec]:
-    """Everything shard-able in one list (claims, figures, ablations).
+    """Everything spreadable in one list (claims, figures, ablations).
 
     Bench scenarios are deliberately absent: they measure the host wall
     clock and must not run concurrently with other work by default.

@@ -1,6 +1,6 @@
 """Process-pool experiment runner with a deterministic merge.
 
-:func:`run_jobs` shards a list of :class:`~repro.parallel.jobs.JobSpec`
+:func:`run_jobs` spreads a list of :class:`~repro.parallel.jobs.JobSpec`
 across ``spawn`` workers and merges the results **in canonical (submission)
 order**, never completion order, so scorecards, tables and exit codes are
 byte-identical at any worker count.  The scenarios share nothing — each is

@@ -7,6 +7,7 @@ dispatched``.  The hypothesis drill hardens that accounting identity
 against randomized fault schedules.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,9 +48,9 @@ def build_fleet(seed=0, books=8, replicas=2, **fleet_kw):
     return fleet, corpus
 
 
-def run_job(fleet, corpus):
+def run_job(fleet, corpus, command_for=grep):
     def job():
-        return (yield from fleet.run_job(corpus, grep))
+        return (yield from fleet.run_job(corpus, command_for))
 
     return fleet.sim.run(fleet.sim.process(job()))
 
@@ -87,10 +88,9 @@ def test_device_killed_mid_job_loses_nothing_with_replicas():
     assert any("unreachable" in alert for alert in health.alerts)
 
 
-def test_no_surviving_replica_falls_back_to_the_host():
-    """With a single copy per book and the host holding the dataset, a dead
-    device's minions complete host-side (the paper's baseline path doubles
-    as the last-resort degraded mode)."""
+def host_backed_fleet():
+    """One node, one copy per book on its devices plus the host, and
+    ``compstor0`` dead from the start: its minions can only finish host-side."""
     node = StorageNode.build(
         devices=2,
         seed=0,
@@ -110,7 +110,14 @@ def test_no_surviving_replica_falls_back_to_the_host():
     fleet = StorageFleet(node.sim, [node])
     plan = FaultPlan().kill_device(0, "compstor0", at=fleet.sim.now)
     FaultInjector.for_fleet(fleet, plan).start()
+    return fleet, corpus
 
+
+def test_no_surviving_replica_falls_back_to_the_host():
+    """With a single copy per book and the host holding the dataset, a dead
+    device's minions complete host-side (the paper's baseline path doubles
+    as the last-resort degraded mode)."""
+    fleet, corpus = host_backed_fleet()
     report = run_job(fleet, corpus)
     assert report.lost == ()
     assert report.accounted == report.dispatched == len(corpus)
@@ -122,6 +129,37 @@ def test_no_surviving_replica_falls_back_to_the_host():
     health = poll_health(fleet)
     assert health.host_fallbacks == report.host_fallbacks
     assert "node0/compstor0" in health.unreachable_devices
+
+
+class BadStatusApp:
+    """A host executable with a model bug: it returns a bare int."""
+
+    name = "badstatus"
+
+    def run(self, ctx):
+        yield from ctx.compute(1e3)
+        return 0  # not an ExitStatus
+
+
+def test_host_fallback_model_bug_raises_instead_of_losing_the_minion():
+    """Only a bad command or missing data moves the fallback on to the next
+    host; a model bug on the host path must fail the run, not be counted
+    as a lost minion."""
+    fleet, corpus = host_backed_fleet()
+    fleet.nodes[0].host.registry.install(BadStatusApp())
+    with pytest.raises(TypeError, match="expected ExitStatus"):
+        run_job(fleet, corpus, lambda b: Command(command_line=f"badstatus {b.name}"))
+
+
+def test_host_fallback_skips_a_host_without_the_executable():
+    """An executable the host never installed is a domain error: the
+    minion is reported lost, not raised."""
+    fleet, corpus = host_backed_fleet()
+    report = run_job(
+        fleet, corpus, lambda b: Command(command_line=f"nosuchtool {b.name}")
+    )
+    assert report.lost and report.accounted == report.dispatched
+    assert report.host_fallbacks == 0
 
 
 def test_losses_are_reported_not_raised():

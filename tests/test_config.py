@@ -214,6 +214,47 @@ def test_flatten_covers_every_leaf():
     assert "retry.max_attempts" in flat
 
 
+# -- the removed sharding section --------------------------------------------
+
+#: ``config_digest(replace(preset("traffic-soak"), sharding=None))`` as
+#: computed while the sharded engine still existed: the preset lost its
+#: sharding section, so its pinned digest is now exactly this value.
+TRAFFIC_SOAK_UNSHARDED_DIGEST = (
+    "7c45f2d1e946d094afdf8b0eb56e3cedea9afdc000524aa7937754d877ee257f"
+)
+
+
+def test_clearing_the_removed_sharding_section_still_works():
+    """Callers that clear the section (the end-to-end benchmark does) keep
+    working, and the section never reaches the canonical JSON."""
+    config = replace(preset("traffic-soak"), sharding=None)
+    assert config == preset("traffic-soak")
+    assert "sharding" not in to_dict(config)
+    assert config_digest(config) == TRAFFIC_SOAK_UNSHARDED_DIGEST
+    assert _golden_digests()["traffic-soak"] == TRAFFIC_SOAK_UNSHARDED_DIGEST
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: replace(preset("traffic-soak"), sharding={"shards": 4}),
+        lambda: ScenarioConfig(sharding=False),
+        lambda: apply_overrides(ScenarioConfig(), ["sharding.shards=2"]),
+        lambda: apply_overrides(ScenarioConfig(), ["sharding=none"]),
+        lambda: preset("smoke", ("sharding.backend=process",)),
+        lambda: scenario_from_dict({"sharding": {"shards": 2}}),
+        lambda: scenario_from_dict({"sharding": None}),
+    ],
+    ids=[
+        "replace-value", "constructor-falsy", "set-field", "set-section",
+        "preset-override", "dict-section", "dict-null",
+    ],
+)
+def test_removed_sharding_section_is_rejected(make):
+    with pytest.raises(ConfigError, match="sharded execution engine was removed"):
+        make()
+
+
 # -- geometry fidelity -------------------------------------------------------
 
 

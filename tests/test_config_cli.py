@@ -56,6 +56,32 @@ def test_config_digest_rejects_unknown_preset():
         main(["config", "digest", "not-a-preset"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig6", "--shard-backend", "sequential"],
+        ["fig7", "--shard-backend", "process"],
+        ["traffic", "--shard-backend", "process"],
+        ["bench", "--shard-backend", "process", "--no-save"],
+        ["shard", "--preset", "smoke"],
+        ["bench", "--scenario", "n64-shard", "--no-save"],
+    ],
+)
+def test_removed_shard_flags_verb_and_scenarios_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+
+
+def test_bench_accepts_every_registered_scenario():
+    from repro.analysis.perf import SCENARIOS
+    from repro.cli import build_parser
+
+    names = sorted(SCENARIOS)
+    args = build_parser().parse_args(["bench", "--scenario", *names])
+    assert args.scenario == names
+
+
 def test_config_diff_identical_and_changed(capsys):
     assert main(["config", "diff", "fig6", "fig6"]) == 0
     assert "no differences" in capsys.readouterr().out
