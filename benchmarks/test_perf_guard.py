@@ -14,9 +14,10 @@ themselves are deterministic (see ``tests/test_golden_schedules.py``),
 so the event-count cross-checks below are exact, and only host speed
 varies between runs.
 
-The chunker lane is relative too: the object store's content-defined
-chunker is timed against a SHA-1 pass over the same pages, so it needs no
-recorded baseline.
+The chunker and corpus lanes are relative too: the object store's
+content-defined chunker and the book-corpus generator are each timed
+against a SHA-1 pass over the bytes they handle, so they need no recorded
+baseline.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import time
 
 from repro.analysis.perf import SCENARIOS, load_bench_json, run_scenario
 from repro.objstore import ChunkParams, Chunker
+from repro.workloads import BookCorpus, CorpusSpec
 
 #: events/sec may drop to 75% of baseline before this guard trips.
 REGRESSION_FLOOR = 0.75
@@ -37,6 +39,11 @@ REGRESSION_FLOOR = 0.75
 #: same bytes (the vectorised kernel measures about 16x on a 2-vCPU Xeon VM,
 #: the per-byte Python loop it replaced 165-280x).
 CHUNK_COST_CEILING = 50.0
+
+#: Generating a functional book corpus may cost at most this many SHA-1 passes
+#: over its plain bytes (the token-table gather measures 34-40x on a 2-vCPU
+#: Xeon VM, the per-line assembly with eager gzip/bzip2 it replaced 200-210x).
+CORPUS_COST_CEILING = 100.0
 
 
 def test_events_per_sec_within_regression_budget():
@@ -134,4 +141,27 @@ def test_chunker_cost_relative_to_sha1_is_bounded():
     assert ratio <= CHUNK_COST_CEILING, (
         f"chunking costs {ratio:.0f}x a SHA-1 pass over the same pages "
         f"(ceiling {CHUNK_COST_CEILING:.0f}x): the chunker's hot loop regressed"
+    )
+
+
+def test_corpus_generation_cost_relative_to_sha1_is_bounded():
+    """Every functional scenario synthesises its books before staging; the
+    generator's host cost is pinned as a multiple of hashing the generated
+    plain bytes with SHA-1.  No ``BENCH_sim.json`` entry."""
+    spec = CorpusSpec(files=64, mean_file_bytes=64 * 1024, size_spread=0.0, seed=2018)
+    plains = [book.plain for book in BookCorpus(spec).generate()]
+
+    def generate():
+        BookCorpus(spec).generate()
+
+    def sha1():
+        digest = hashlib.sha1()
+        for plain in plains:
+            digest.update(plain)
+        digest.hexdigest()
+
+    ratio = _best_of(3, generate) / _best_of(5, sha1)
+    assert ratio <= CORPUS_COST_CEILING, (
+        f"corpus generation costs {ratio:.0f}x a SHA-1 pass over its plain "
+        f"bytes (ceiling {CORPUS_COST_CEILING:.0f}x): the generator regressed"
     )

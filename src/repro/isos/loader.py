@@ -18,7 +18,7 @@ from typing import Any, Generator, Protocol, runtime_checkable
 
 from repro.cpu.scheduler import RunQueue
 from repro.isos.filesystem import ExtentFileSystem
-from repro.sim import Simulator
+from repro.sim import ModelError, Simulator
 
 __all__ = ["ExecContext", "Executable", "ExecutableRegistry", "ExitStatus"]
 
@@ -130,6 +130,11 @@ class PageStream:
         data, take = yield from self.ctx.fs.read_page_of(self.name, index)
         self.ctx.bytes_read += take
         return data, take
+
+
+class ExitStatusError(ModelError, TypeError):
+    """An executable broke the binary interface: it returned something other
+    than an :class:`ExitStatus`."""
 
 
 class ExecutableNotFound(KeyError):

@@ -13,7 +13,13 @@ from typing import Generator
 from repro.cpu.core import CpuCluster
 from repro.cpu.scheduler import RunQueue
 from repro.isos.filesystem import ExtentFileSystem
-from repro.isos.loader import ExecContext, Executable, ExecutableRegistry, ExitStatus
+from repro.isos.loader import (
+    ExecContext,
+    Executable,
+    ExecutableRegistry,
+    ExitStatus,
+    ExitStatusError,
+)
 from repro.isos.process import OsProcess, ProcessState
 from repro.isos.shell import split_pipeline, split_script
 from repro.sim import Simulator, Tracer
@@ -84,7 +90,7 @@ class EmbeddedOS:
                     )
                     status = yield from exe.run(ctx)
                     if not isinstance(status, ExitStatus):
-                        raise TypeError(
+                        raise ExitStatusError(
                             f"{exe.name} returned {status!r}, expected ExitStatus"
                         )
                     if status.code != 0:

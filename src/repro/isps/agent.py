@@ -25,7 +25,7 @@ from repro.isos.process import ProcessState
 from repro.isps.subsystem import InSituProcessingSubsystem
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.spans import Span, continue_trace
-from repro.sim.core import Interrupt
+from repro.sim.core import Interrupt, ModelError
 from repro.isps.telemetry import TelemetrySnapshot
 from repro.nvme.commands import Opcode
 from repro.proto.entities import Minion, Query, QueryKind, Response, ResponseStatus
@@ -225,6 +225,8 @@ class IspsAgent:
                 exit_code=-1,
                 stdout=f"killed after {command.timeout_seconds}s".encode(),
             )
+        except ModelError:
+            raise  # a bug in the model, not a verdict on the minion
         except Exception as exc:  # executable crashed
             return Response(
                 status=ResponseStatus.CRASHED, exit_code=-1, stdout=repr(exc).encode()

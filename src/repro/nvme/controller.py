@@ -21,7 +21,7 @@ from repro.nvme.queues import QueuePair
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.spans import continue_trace
 from repro.pcie.switch import PciePort
-from repro.sim import Simulator, Tracer
+from repro.sim import ModelError, Simulator, Tracer
 from repro.sim.trace import NULL_TRACER
 
 __all__ = ["NvmeController"]
@@ -279,6 +279,8 @@ class NvmeController:
                 span.end(status="ISC_AGENT_DOWN")
                 body.span = parent_ctx
             return Status.ISC_AGENT_DOWN, None
+        except ModelError:
+            raise
         except Exception:
             if span is not None:
                 span.end(status="ISC_FAILURE")

@@ -19,6 +19,7 @@ from repro.sim.core import (
     AnyOf,
     Event,
     Interrupt,
+    ModelError,
     Process,
     SimulationError,
     Simulator,
@@ -39,6 +40,7 @@ __all__ = [
     "Container",
     "Event",
     "Interrupt",
+    "ModelError",
     "PreemptionError",
     "PriorityResource",
     "Process",

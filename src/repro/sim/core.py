@@ -26,6 +26,7 @@ __all__ = [
     "AnyOf",
     "Event",
     "Interrupt",
+    "ModelError",
     "Process",
     "SimulationError",
     "Simulator",
@@ -41,6 +42,13 @@ URGENT = 0
 
 class SimulationError(Exception):
     """Raised for kernel misuse (double-trigger, run-without-work, ...)."""
+
+
+class ModelError(Exception):
+    """A model component broke its own contract: a bug in the simulator,
+    not an outcome of the simulated system.  Layers that turn failures
+    into statuses (an NVMe ``ISC_FAILURE``, a ``CRASHED`` minion) let it
+    propagate, so the run fails instead of reporting a verdict."""
 
 
 class Interrupt(Exception):

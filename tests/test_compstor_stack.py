@@ -359,3 +359,28 @@ def test_script_with_crash_reported():
     response = drive(node, flow())
     assert response.status == ResponseStatus.CRASHED
     assert b"kaboom" in response.stdout
+
+
+@pytest.mark.parametrize("script", [False, True])
+def test_executable_returning_non_exit_status_fails_the_run(script):
+    """An executable that returns a bare ``0`` breaks the binary interface:
+    that is a model bug, so the run raises instead of reporting the minion
+    as ``CRASHED`` (a deliberate crash still reports ``CRASHED``, above)."""
+
+    class BadStatusApp:
+        name = "badstatus"
+
+        def run(self, ctx):
+            yield from ctx.compute(1e3)
+            return 0  # not an ExitStatus
+
+    node = build_node(devices=1)
+    node.compstors[0].isps.os.install_executable(BadStatusApp())
+
+    def flow():
+        if script:
+            return (yield from node.client.run("compstor0", script="ls\nbadstatus"))
+        return (yield from node.client.run("compstor0", "badstatus"))
+
+    with pytest.raises(TypeError, match="expected ExitStatus"):
+        drive(node, flow())

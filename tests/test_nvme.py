@@ -123,6 +123,21 @@ def test_handler_exception_becomes_isc_failure():
     assert c.status == Status.ISC_FAILURE
 
 
+def test_handler_model_error_propagates():
+    """A model bug is not an ISC verdict: it fails the run."""
+    from repro.sim import ModelError
+
+    sim, ctrl = make_controller()
+
+    def handler(opcode, body):
+        yield sim.timeout(1e-6)
+        raise ModelError("handler broke its contract")
+
+    ctrl.register_isc_handler(handler)
+    with pytest.raises(ModelError, match="broke its contract"):
+        call(sim, ctrl, NvmeCommand(opcode=Opcode.ISC_QUERY, payload=IscPayload(body=None)))
+
+
 def test_double_handler_registration_rejected():
     _, ctrl = make_controller()
     ctrl.register_isc_handler(lambda o, b: iter(()))
